@@ -1605,9 +1605,8 @@ let explain_cmd =
 
 (* -- journal ------------------------------------------------------------------- *)
 
-(* Debug export: decode a write-ahead journal (binary frames or legacy
-   JSON lines, auto-detected) and print each record as one JSON line on
-   stdout. Torn-tail diagnostics go to stderr so the output stays
+(* Debug export: decode a write-ahead journal (binary frames) and print
+   each record as one JSON line on stdout. Torn-tail diagnostics go to stderr so the output stays
    pipeable. *)
 
 let journal_dump journal_path strict =
@@ -1643,9 +1642,8 @@ let journal_cmd =
     Cmd.v
       (Cmd.info "dump"
          ~doc:
-           "Decode a write-ahead journal (binary frames or legacy JSON \
-            lines, auto-detected) and print each record as one JSON line \
-            on stdout")
+           "Decode a write-ahead journal (binary frames) and print each \
+            record as one JSON line on stdout")
       Term.(
         const (fun () p s -> journal_dump p s)
         $ logs_term $ journal_pos $ strict_arg)

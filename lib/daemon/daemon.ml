@@ -6,12 +6,13 @@
    runs one decision round at the degradation ladder's current rung
    (Ladder), admitting at most a batch from the bounded submission
    queue (Admission) and re-placing the admitted, still-live vjobs
-   through the usual decision/executor/repair machinery of the
-   simulator. Admission decisions and ladder transitions ride the
-   write-ahead journal next to the switch records, so a killed daemon
-   resumes mid-storm: settled dispositions are replayed, the in-flight
-   switch is reconciled and completed idempotently, missed arrivals are
-   re-submitted, and the ladder restarts on its journaled rung.
+   through the decision module and the simulator's journaled switch
+   driver (Vsim.Switch). Admission decisions and ladder transitions
+   ride the write-ahead journal next to the switch records, so a killed
+   daemon resumes mid-storm: settled dispositions are replayed, the
+   in-flight switch is reconciled and completed idempotently, missed
+   arrivals are re-submitted, and the ladder restarts on its journaled
+   rung.
 
    Determinism: the instance, the arrival schedule and the crash script
    all derive from [config.seed]; with [deterministic = true] the
@@ -28,11 +29,11 @@ module Jrecord = Entropy_journal.Record
 module Recovery = Entropy_journal.Recovery
 module Injector = Entropy_fault.Injector
 module Supervisor = Entropy_fault.Supervisor
-module Repair = Entropy_fault.Repair
 module Arrivals = Vworkload.Arrivals
 module Engine = Vsim.Engine
 module Cluster = Vsim.Cluster
 module Executor = Vsim.Executor
+module Switch = Vsim.Switch
 module Collector = Vmonitor.Collector
 open Entropy_core
 
@@ -216,11 +217,6 @@ let build_instance (c : config) =
     max_node_mem = c.node_mem;
   }
 
-let vjob_terminated config vjob =
-  List.for_all
-    (fun vm_id -> Configuration.state config vm_id = Configuration.Terminated)
-    (Vjob.vms vjob)
-
 let last_arrival instance =
   Array.fold_left
     (fun acc (a : Arrivals.arrival) -> Float.max acc a.Arrivals.at_s)
@@ -292,13 +288,6 @@ let run_core (c : config) (b : boot) =
   let admitted = b.admitted0 in
   let rejected = ref b.rejected0 in
   let jappend r = Option.iter (fun j -> Journal.append j r) b.journal in
-  let emit = Option.map (fun j r -> Journal.append j r) b.journal in
-  let switch_id =
-    ref
-      (match b.journal with
-      | Some j -> Recovery.next_switch_id (Journal.records j)
-      | None -> 0)
-  in
   let ffd = Decision.ffd_only () in
   let d_full =
     if c.deterministic then ffd
@@ -323,7 +312,6 @@ let run_core (c : config) (b : boot) =
   let defer_streak = ref 0 in
   let max_defer_streak = ref 0 in
   let livelock_episodes = ref 0 in
-  let switches = ref [] in
   let repairs = ref 0 in
   let crash_log = ref [] in
   let transitions = ref [] in
@@ -334,9 +322,19 @@ let run_core (c : config) (b : boot) =
     Hashtbl.fold
       (fun id () acc ->
         let vj = instance.vjobs.(id) in
-        if vjob_terminated cfg vj then acc else vj :: acc)
+        if Configuration.vjob_terminated cfg vj then acc else vj :: acc)
       admitted []
     |> List.sort (fun a b -> compare (Vjob.id a) (Vjob.id b))
+  in
+  let observe () =
+    Collector.poll collector;
+    Collector.demand collector
+  in
+  let driver =
+    Switch.create ~injector ~policy ~max_repairs:c.max_repairs
+      ?journal:b.journal
+      ~on_repair:(fun _ -> incr repairs)
+      ~observe ~queue:live_admitted cluster
   in
   let work_done () =
     !arrivals_left = 0 && Admission.depth adm = 0 && live_admitted () = []
@@ -450,19 +448,19 @@ let run_core (c : config) (b : boot) =
   and decide level =
     if !done_flag then ()
     else begin
-      Collector.poll collector;
-      let demand = Collector.demand collector in
+      let demand = observe () in
       let queue = live_admitted () in
       if queue = [] then settle_and_rearm ()
       else begin
-        let cfg = Cluster.config cluster in
         let finished =
           List.filter_map
             (fun vj ->
               if Cluster.completed cluster vj then Some (Vjob.id vj) else None)
             queue
         in
-        let obs = { Decision.config = cfg; demand; queue; finished } in
+        let obs =
+          { Decision.config = Cluster.config cluster; demand; queue; finished }
+        in
         let d = decision_of level in
         let result =
           if !Obs.enabled then
@@ -471,88 +469,21 @@ let run_core (c : config) (b : boot) =
               (fun () -> d.Decision.decide obs)
           else d.Decision.decide obs
         in
-        if Plan.is_empty result.Optimizer.plan then begin
-          (* an empty plan can still carry state: every current/target
-             difference that derives no action is pure bookkeeping (a
-             finished vjob's suspended image discarded, a waiting VM
-             cancelled). Commit it directly or the vjob never reaches
-             Terminated — there is no action left that ever would. *)
-          let target = result.Optimizer.target in
-          let changed = ref false in
-          let vm_count = Configuration.vm_count cfg in
-          (try
-             for vm = 0 to vm_count - 1 do
-               if Configuration.state cfg vm <> Configuration.state target vm
-               then raise Exit
-             done
-           with Exit -> changed := true);
-          if !changed then begin
-            Log.debug (fun m ->
-                m "empty plan with bookkeeping-only target: committing \
-                   directly (finished [%a])"
-                  Fmt.(list ~sep:sp int)
-                  finished);
-            Cluster.set_config cluster target
-          end;
-          settle_and_rearm ()
-        end
-        else
-          exec ~depth:0 ~demand ~target:result.Optimizer.target
-            result.Optimizer.plan
+        Switch.run driver ~demand ~target:result.Optimizer.target
+          result.Optimizer.plan ~k:settled
       end
     end
-  and exec ~depth ~demand ~target plan =
-    let sw = !switch_id in
-    incr switch_id;
-    jappend
-      (Jrecord.Switch_begin
-         {
-           switch = sw;
-           at_s = Engine.now engine;
-           source = Cluster.config cluster;
-           target;
-           plan;
-           demand;
-           seed = Some (Injector.seed injector);
-         });
-    let on_done (r : Executor.record) =
-      jappend
-        (Jrecord.Switch_end
-           {
-             switch = sw;
-             at_s = Engine.now engine;
-             aborted = r.Executor.aborted;
-           });
-      switches := r :: !switches;
-      let degraded = r.Executor.failed > 0 in
-      if degraded && depth < c.max_repairs then chase ~depth ~target r
-      else begin
-        if degraded then begin
-          (* repair chain exhausted with residue: the daemon-level
-             analogue of Loop.Degraded — counted, never spun on *)
-          incr livelock_episodes;
-          Log.warn (fun m ->
-              m "switch %d still degraded after %d repairs (%d failed VMs)"
-                sw depth r.Executor.failed)
-        end;
-        settle_and_rearm ()
-      end
-    in
-    Executor.execute ~injector ~policy ~abort_on_failure:true ?emit ~switch:sw
-      cluster plan ~on_done
-  and chase ~depth ~target r =
-    Collector.poll collector;
-    let before = Cluster.config cluster in
-    let demand = Collector.demand collector in
-    let queue = live_admitted () in
-    match
-      Repair.repair ~vjobs:queue ~current:before ~target ~demand ~queue
-        ~failed_vms:r.Executor.failed_vms ~lost_nodes:r.Executor.lost_nodes ()
-    with
-    | Some o ->
-      incr repairs;
-      exec ~depth:(depth + 1) ~demand ~target:o.Repair.target o.Repair.plan
-    | None -> settle_and_rearm ()
+  and settled = function
+    | Switch.Settled -> settle_and_rearm ()
+    | Switch.Exhausted { last; repairs } ->
+      (* repair chain exhausted with residue: the daemon-level analogue
+         of Loop.Degraded — counted, never spun on *)
+      incr livelock_episodes;
+      Log.warn (fun m ->
+          m "switch started at %.0fs still degraded after %d repairs (%d \
+             failed VMs)"
+            last.Executor.started_at repairs last.Executor.failed);
+      settle_and_rearm ()
   and settle_and_rearm () =
     let now = Engine.now engine in
     if work_done () then begin
@@ -690,9 +621,7 @@ let run_core (c : config) (b : boot) =
     ignore (Triggers.fire trig);
     ignore
       (Engine.schedule engine ~at:0.5 (fun () ->
-           Collector.poll collector;
-           let demand = Collector.demand collector in
-           exec ~depth:0 ~demand ~target plan))
+           Switch.run driver ~demand:(observe ()) ~target plan ~k:settled))
   | Some _ | None ->
     (* a resume can come back with parked vjobs or a requeued backlog
        and no event in sight: kick one boot round *)
@@ -714,13 +643,14 @@ let run_core (c : config) (b : boot) =
   let completed =
     List.length
       (List.filter
-         (fun id -> vjob_terminated final_config instance.vjobs.(id))
+         (fun id ->
+           Configuration.vjob_terminated final_config instance.vjobs.(id))
          admitted_ids)
   in
   List.iter
     (fun id ->
       let vj = instance.vjobs.(id) in
-      if not (vjob_terminated final_config vj) then
+      if not (Configuration.vjob_terminated final_config vj) then
         Log.debug (fun m ->
             m "vjob %d not terminated at exit: %a" id
               Fmt.(list ~sep:comma Configuration.pp_vm_state)
@@ -743,9 +673,10 @@ let run_core (c : config) (b : boot) =
     + int_of_float
         (Float.ceil (c.ladder.Ladder.defer_hold_s /. Float.max 1. c.debounce_s))
   in
+  let switches = Switch.switches driver in
   let action_failures =
     List.fold_left (fun a (r : Executor.record) -> a + r.Executor.failed) 0
-      !switches
+      switches
   in
   {
     submissions = List.length admitted_ids + !rejected + Admission.depth adm;
@@ -770,7 +701,7 @@ let run_core (c : config) (b : boot) =
     final_level = Ladder.level ladder;
     triggers_raised = Triggers.raised_total trig;
     triggers_coalesced = Triggers.coalesced_total trig;
-    switches = List.length !switches;
+    switches = List.length switches;
     repairs = !repairs;
     action_failures;
     crashes = List.rev !crash_log;
@@ -881,24 +812,14 @@ let resume ~journal ~records c =
   in
   let initial_plan =
     match state with
-    | Some st when not st.Recovery.ended -> (
-      let queue =
-        Array.to_list instance.vjobs
-        |> List.filter (fun vj ->
-               Hashtbl.mem admitted0 (Vjob.id vj)
-               && not (vjob_terminated observed vj))
+    | Some st when not st.Recovery.ended ->
+      let admitted =
+        List.filter
+          (fun vj -> Hashtbl.mem admitted0 (Vjob.id vj))
+          (Array.to_list instance.vjobs)
       in
-      let rec_ = Recovery.reconcile ~vjobs:queue ~state:st ~observed () in
-      match rec_.Recovery.plan with
-      | Some plan -> Some (rec_.Recovery.target, plan)
-      | None -> (
-        match
-          Repair.repair_residue ~vjobs:queue ~current:observed
-            ~target:rec_.Recovery.target ~demand:st.Recovery.demand ~queue
-            rec_.Recovery.residue ()
-        with
-        | Some o -> Some (o.Repair.target, o.Repair.plan)
-        | None -> None))
+      let r = Switch.recover ~vjobs:admitted ~observed st in
+      Some (r.Switch.target, r.Switch.plan)
     | Some _ | None -> None
   in
   Log.info (fun m ->

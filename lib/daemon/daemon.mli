@@ -15,6 +15,13 @@
       down to serve-the-current-configuration, driven by queue
       pressure and decision lag, every step journaled.
 
+    Every decision round executes its plan through {!Vsim.Switch}, the
+    journaled switch driver the simulator's {!Vsim.Runner} uses too:
+    write-ahead switch records, supervised execution under the
+    configured action-failure rate, and the repair chase bounded by
+    [max_repairs]; a chain that exhausts it counts as a livelock
+    episode.
+
     Every admission decision and ladder transition goes through the
     write-ahead journal ({!Entropy_journal.Record.Submission} /
     [Ladder] records) alongside the usual switch records, so
@@ -112,5 +119,6 @@ val resume :
     from its seed, and everything already settled in the journal
     (admissions, rejections, ladder rung, executed actions) is replayed
     rather than redone: a rejected submission stays rejected, an
-    in-flight switch is reconciled and completed idempotently, and
+    in-flight switch is reconciled and completed idempotently
+    ({!Vsim.Switch.recover}), and
     arrivals the dead daemon never saw are re-submitted. *)

@@ -9,12 +9,7 @@
    after its terminal record was appended always observes that record
    durable — the write-ahead ordering of PR 5 is preserved; a crash can
    only lose a tail of non-terminal [Action_started] records, which
-   resume re-runs idempotently.
-
-   Journals written before the binary format (one checksummed JSON line
-   per record) still load: the first byte of the file selects the codec
-   ('{' is never a valid frame magic), and appends to such a file stay
-   in its line format so the file remains single-codec. *)
+   resume re-runs idempotently. *)
 
 module Obs = Entropy_obs.Obs
 module Metrics = Entropy_obs.Metrics
@@ -22,15 +17,12 @@ module Metrics = Entropy_obs.Metrics
 let m_appended = lazy (Metrics.counter "journal.appended")
 let m_dropped = lazy (Metrics.counter "journal.dropped_records")
 
-type mode = Binary | Json_lines
-
 type file = {
   path : string;
   oc : out_channel;
   buf : Buffer.t;  (* encoded records not yet written to [oc] *)
   flush_bytes : int;
   flush_records : int;
-  mode : mode;
   mutable buffered : int;  (* records currently in [buf] *)
   mutable closed : bool;
 }
@@ -68,37 +60,6 @@ let decode_binary src =
   in
   go [] 0
 
-let decode_lines lines =
-  let rec go acc dropped = function
-    | [] -> (List.rev acc, dropped)
-    | line :: rest -> (
-      match Record.of_line line with
-      | record -> go (record :: acc) dropped rest
-      | exception Record.Corrupt reason ->
-        Log.warn (fun m ->
-            m "dropping torn/corrupt tail (%d line%s): %s"
-              (List.length rest + 1)
-              (if rest = [] then "" else "s")
-              reason);
-        (List.rev acc, List.length rest + 1))
-  in
-  go [] 0 lines
-
-let split_lines s =
-  (* like [String.split_on_char '\n'] but without a phantom final line
-     when the file ends in a newline, as written journals do *)
-  String.split_on_char '\n' s
-  |> List.filter (fun line -> line <> "")
-
-let mode_of_contents contents =
-  if String.length contents > 0 && contents.[0] = '{' then Json_lines
-  else Binary
-
-let decode_contents contents =
-  match mode_of_contents contents with
-  | Binary -> decode_binary contents
-  | Json_lines -> decode_lines (split_lines contents)
-
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -108,28 +69,24 @@ let read_file path =
 
 (* -- lifecycle ---------------------------------------------------------------- *)
 
-let encode_valid_prefix mode records =
+let encode_valid_prefix records =
   let b = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      match mode with
-      | Binary -> Record.write_frame b r
-      | Json_lines ->
-        Buffer.add_string b (Record.to_line r);
-        Buffer.add_char b '\n')
-    records;
+  List.iter (Record.write_frame b) records;
   Buffer.contents b
 
 let open_file ?(flush_bytes = default_flush_bytes)
     ?(flush_records = default_flush_records) path =
   let contents = if Sys.file_exists path then read_file path else "" in
-  let mode = mode_of_contents contents in
-  let records, dropped = decode_contents contents in
+  (* a JSON-lines journal of the pre-binary format decodes as one torn
+     frame: refuse it rather than truncate it away *)
+  if String.length contents > 0 && contents.[0] = '{' then
+    invalid_arg (path ^ ": JSON-lines journal format is no longer supported");
+  let records, dropped = decode_binary contents in
   (* Truncate a torn tail before appending: new records written after
      torn garbage would sit beyond the durable prefix and never be
      replayed. Rewriting the valid prefix makes reopen-after-crash
      append where recovery reads. *)
-  let valid = encode_valid_prefix mode records in
+  let valid = encode_valid_prefix records in
   let oc =
     if dropped > 0 || String.length valid <> String.length contents then begin
       if dropped > 0 then
@@ -158,7 +115,6 @@ let open_file ?(flush_bytes = default_flush_bytes)
           buf = Buffer.create 4096;
           flush_bytes;
           flush_records;
-          mode;
           buffered = 0;
           closed = false;
         };
@@ -188,11 +144,7 @@ let append t record =
   | Mem m -> Record.write_frame m.mem_buf record
   | File f ->
     if f.closed then invalid_arg "Journal.append: journal is closed";
-    (match f.mode with
-    | Binary -> Record.write_frame f.buf record
-    | Json_lines ->
-      Buffer.add_string f.buf (Record.to_line record);
-      Buffer.add_char f.buf '\n');
+    Record.write_frame f.buf record;
     f.buffered <- f.buffered + 1;
     if
       Record.commit_point record
@@ -213,7 +165,7 @@ let close t =
       close_out f.oc)
 
 let load path =
-  let records, dropped = decode_contents (read_file path) in
+  let records, dropped = decode_binary (read_file path) in
   if !Obs.enabled && dropped > 0 then
     Metrics.add (Lazy.force m_dropped) dropped;
   Log.info (fun m ->

@@ -11,9 +11,9 @@
     {!read_frame}): an 11-byte header (magic, version, payload length,
     FNV-1a checksum) followed by a compact binary payload. A torn or
     corrupted frame is detected by the header checks and checksum and
-    ends the durable prefix in {!Journal.load}. The checksummed JSON
-    line form ({!to_line} / {!of_line}) remains as the debug export and
-    as the decoder for journals written before the binary format. *)
+    ends the durable prefix in {!Journal.load}. {!to_json} is the
+    human-readable export ([entropyctl journal dump]); it is never read
+    back. *)
 
 open Entropy_core
 
@@ -59,9 +59,6 @@ type t =
 
 and disposition = Queued | Admitted | Rejected of string
 
-exception Corrupt of string
-(** Raised by the decoders on malformed input or a checksum mismatch. *)
-
 val submission_version : int
 (** Version byte carried inside every {!Submission} payload (the record
     is expected to grow fields); decoders reject versions they do not
@@ -76,23 +73,15 @@ val switch : t -> int
 val at_s : t -> float
 
 val to_json : t -> Entropy_obs.Json.t
-val of_json : Entropy_obs.Json.t -> t
-(** Raises {!Corrupt}. *)
+(** The record as one JSON object (the debug export). *)
 
 val checksum : string -> int
 (** FNV-1a 32-bit over the serialized record payload. *)
 
-val to_line : t -> string
-(** One newline-free JSON line: [{"crc":...,"rec":...}]. *)
-
-val of_line : string -> t
-(** Raises {!Corrupt} on a parse error or a checksum mismatch. *)
-
 (** {2 Binary frame form (the durable format)} *)
 
 val magic : string
-(** Frame magic, ["EJ"]. The first byte of a journal file selects its
-    codec: ['{'] means legacy JSON lines, anything else binary frames. *)
+(** Frame magic, ["EJ"]: every journal file starts with it. *)
 
 val version : int
 (** Format version carried in every frame header; readers reject frames

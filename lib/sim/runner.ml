@@ -2,14 +2,15 @@
    section 5.2 experiment): a cluster, a set of vjobs submitted at time
    zero running NGB-like workloads, the monitoring collector, the
    decision module and the plan executor, wired on the discrete-event
-   engine.
+   engine. Every decision is executed through the journaled switch
+   driver ([Switch]), the one the daemon uses too.
 
    With a fault injector, the run becomes a chaos experiment: scripted
    node crashes fire on the engine, actions run supervised (timeouts,
    retries), and a switch that terminally loses actions aborts at the
-   pool boundary and goes through the repair chain — salvage the
-   surviving plan or FFD-replan — immediately, instead of waiting for
-   the next loop iteration. *)
+   pool boundary and goes through the driver's repair chain — salvage
+   the surviving plan or FFD-replan — immediately, instead of waiting
+   for the next loop iteration. *)
 
 (* capture the simulator's own log source before [open Entropy_core]
    shadows it with the core's *)
@@ -19,12 +20,9 @@ open Entropy_core
 module Trace = Vworkload.Trace
 module Obs = Entropy_obs.Obs
 module Injector = Entropy_fault.Injector
-module Repair = Entropy_fault.Repair
-module Journal = Entropy_journal.Journal
-module Jrecord = Entropy_journal.Record
 module Recovery = Entropy_journal.Recovery
 
-type repair_record = {
+type repair_record = Switch.repair = {
   at : float;
   switch : int;
   source : [ `Salvaged | `Replanned ];
@@ -81,18 +79,13 @@ let setup ?(arrival_spacing = 0.) ~nodes ~traces () =
   in
   (config, vjobs, fun vm_id -> programs.(vm_id))
 
-let vjob_terminated config vjob =
-  List.for_all
-    (fun vm_id -> Configuration.state config vm_id = Configuration.Terminated)
-    (Vjob.vms vjob)
-
 (* Run the control loop over an arbitrary initial configuration (VMs may
    already be running/sleeping). *)
 let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
     ?(sample_period = 30.) ?(poll_period = 5.) ?(cp_timeout = 1.0)
     ?(max_time = 1_000_000.) ?decision ?should_fail ?injector ?policy
-    ?(max_repairs = 4) ?storage ?(execution = `Pools) ?journal ?kill_at
-    ?initial ~config ~vjobs ~programs () =
+    ?max_repairs ?storage ?execution ?journal ?kill_at ?initial ~config
+    ~vjobs ~programs () =
   let engine = Engine.create () in
   let cluster =
     Cluster.create ~params ?storage ~engine ~config ~vjobs ~programs ()
@@ -101,23 +94,16 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
     Vmonitor.Collector.create (fun () ->
         (Engine.now engine, Cluster.cpu_readings cluster))
   in
+  let observe () =
+    Vmonitor.Collector.poll collector;
+    Vmonitor.Collector.demand collector
+  in
   let decision =
     match decision with
     | Some d -> d
     | None -> Decision.consolidation ~cp_timeout ()
   in
-  let faulty = injector <> None in
-  (* a journal opened on an earlier run (the resume path) continues its
-     switch numbering instead of reusing ids *)
-  let switch_id =
-    ref
-      (match journal with
-      | Some j -> Recovery.next_switch_id (Journal.records j)
-      | None -> 0)
-  in
-  let emit = Option.map (fun j r -> Journal.append j r) journal in
   let metrics = Metrics.start ~period:sample_period cluster in
-  let switches = ref [] in
   let repairs = ref [] in
   let crashes = ref [] in
   let iterations = ref 0 in
@@ -135,8 +121,15 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
     let now = Engine.now engine in
     List.filter
       (fun vj ->
-        Vjob.submit_time vj <= now && not (vjob_terminated config vj))
+        Vjob.submit_time vj <= now
+        && not (Configuration.vjob_terminated config vj))
       vjobs
+  in
+  let driver =
+    Switch.create ?should_fail ?injector ?policy ?max_repairs ?execution
+      ?journal
+      ~on_repair:(fun r -> repairs := r :: !repairs)
+      ~observe ~queue:live_queue cluster
   in
   (* scripted node crashes fire on the engine, whatever the loop is
      doing; the executor notices in-flight actions touching the dead
@@ -157,7 +150,7 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
     let config = Cluster.config cluster in
     let queue = live_queue () in
     let all_done =
-      List.for_all (fun vj -> vjob_terminated config vj) vjobs
+      List.for_all (Configuration.vjob_terminated config) vjobs
     in
     if all_done then begin
       done_flag := true;
@@ -168,8 +161,7 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
       ignore (Engine.schedule_after engine ~delay:period iterate)
     else begin
       incr iterations;
-      Vmonitor.Collector.poll collector;
-      let demand = Vmonitor.Collector.demand collector in
+      let demand = observe () in
       let finished =
         List.filter_map
           (fun vj ->
@@ -185,104 +177,20 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
               decision.Decision.decide obs)
         else decision.Decision.decide obs
       in
-      if Plan.is_empty result.Optimizer.plan then
-        ignore (Engine.schedule_after engine ~delay:period iterate)
-      else
-        exec ~depth:0 ~demand ~target:result.Optimizer.target
-          result.Optimizer.plan
+      Switch.run driver ~demand ~target:result.Optimizer.target
+        result.Optimizer.plan ~k:next
     end
-  (* execute one plan; on a degraded switch, chase it with at most
-     [max_repairs] immediate repair plans before handing control back to
-     the periodic loop. The switch is bracketed by write-ahead journal
-     records: Switch_begin goes durable before the first action starts,
-     Switch_end only after the executor reports back — a kill anywhere
-     in between leaves a journal that replays to the in-flight state. *)
-  and exec ~depth ~demand ~target plan =
-    let queue = live_queue () in
-    let sw = !switch_id in
-    (match journal with
-    | None -> ()
-    | Some j ->
-      incr switch_id;
-      Journal.append j
-        (Jrecord.Switch_begin
-           {
-             switch = sw;
-             at_s = Engine.now engine;
-             source = Cluster.config cluster;
-             target;
-             plan;
-             demand;
-             seed = Option.map Injector.seed injector;
-           }));
-    let on_done r =
-      (match journal with
-      | None -> ()
-      | Some j ->
-        Journal.append j
-          (Jrecord.Switch_end
-             {
-               switch = sw;
-               at_s = Engine.now engine;
-               aborted = r.Executor.aborted;
-             }));
-      switches := r :: !switches;
-      let degraded = r.Executor.failed > 0 in
-      if faulty && degraded && depth < max_repairs then repair ~depth ~target r
-      else ignore (Engine.schedule_after engine ~delay:period iterate)
-    in
-    match execution with
-    | `Pools ->
-      Executor.execute ?should_fail ?injector ?policy
-        ~abort_on_failure:faulty ?emit ~switch:sw cluster plan ~on_done
-    | `Continuous ->
-      Executor.execute_continuous ?should_fail ?injector ?policy
-        ~abort_on_failure:faulty ?emit ~switch:sw ~vjobs:queue cluster plan
-        ~on_done
-  and repair ~depth ~target r =
-    Vmonitor.Collector.poll collector;
-    let before = Cluster.config cluster in
-    let demand = Vmonitor.Collector.demand collector in
-    let queue = live_queue () in
-    match
-      Repair.repair ~vjobs:queue ~current:before ~target ~demand ~queue
-        ~failed_vms:r.Executor.failed_vms ~lost_nodes:r.Executor.lost_nodes ()
-    with
-    | Some o ->
-      Sim_log.info (fun m ->
-          m "switch degraded at %.0fs (%d failed, %d node-losses): %a plan, \
-             %d actions"
-            (Engine.now engine) r.Executor.failed r.Executor.node_losses
-            Repair.pp_source o.Repair.source
-            (Plan.action_count o.Repair.plan));
-      repairs :=
-        {
-          at = Engine.now engine;
-          (* the id the chased exec below will journal under *)
-          switch = !switch_id;
-          source = o.Repair.source;
-          before;
-          target = o.Repair.target;
-          demand;
-          queue;
-          plan = o.Repair.plan;
-        }
-        :: !repairs;
-      exec ~depth:(depth + 1) ~demand ~target:o.Repair.target o.Repair.plan
-    | None ->
-      (* nothing to repair towards right now (e.g. the packing needs no
-         actions): fall back to the periodic loop *)
-      ignore (Engine.schedule_after engine ~delay:period iterate)
+  (* the switch chain is over: back to the periodic loop *)
+  and next (_ : Switch.outcome) =
+    ignore (Engine.schedule_after engine ~delay:period iterate)
   in
   (match initial with
   | Some (target, plan) when not (Plan.is_empty plan) ->
     (* the resume path: execute a recovery-derived plan first, then fall
-       back into the periodic loop through its on_done *)
+       back into the periodic loop *)
     ignore
       (Engine.schedule_after engine ~delay:0.5 (fun () ->
-           Vmonitor.Collector.poll collector;
-           let demand = Vmonitor.Collector.demand collector in
-           exec ~depth:0 ~demand ~target plan))
+           Switch.run driver ~demand:(observe ()) ~target plan ~k:next))
   | Some _ | None -> ignore (Engine.schedule_after engine ~delay:0.5 iterate));
   let horizon =
     match kill_at with Some k -> Float.min k max_time | None -> max_time
@@ -301,12 +209,12 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
   let final_config = Cluster.config cluster in
   let killed =
     kill_at <> None
-    && not (List.for_all (fun vj -> vjob_terminated final_config vj) vjobs)
+    && not (List.for_all (Configuration.vjob_terminated final_config) vjobs)
   in
   {
     makespan;
     completions;
-    switches = List.rev !switches;
+    switches = Switch.switches driver;
     repairs = List.rev !repairs;
     crashes = List.rev !crashes;
     series = Metrics.points metrics;
@@ -337,28 +245,8 @@ let resume ?params ?period ?sample_period ?poll_period ?cp_timeout ?max_time
   match Recovery.replay records with
   | None -> None
   | Some state ->
-    let queue =
-      List.filter (fun vj -> not (vjob_terminated observed vj)) vjobs
-    in
-    let reconciliation =
-      Recovery.reconcile ~vjobs:queue ~state ~observed ()
-    in
-    let target, plan, repaired =
-      match reconciliation.Recovery.plan with
-      | Some plan -> (reconciliation.Recovery.target, plan, false)
-      | None -> (
-        (* divergence (or a stuck planner): hand the residue to repair *)
-        match
-          Repair.repair_residue ~vjobs:queue ~current:observed
-            ~target:reconciliation.Recovery.target
-            ~demand:state.Recovery.demand ~queue
-            reconciliation.Recovery.residue ()
-        with
-        | Some o -> (o.Repair.target, o.Repair.plan, true)
-        | None ->
-          (* nothing to repair towards: let the periodic loop decide *)
-          (reconciliation.Recovery.target, Plan.empty, true))
-    in
+    let r = Switch.recover ~vjobs ~observed state in
+    let reconciliation = r.Switch.reconciliation in
     Sim_log.info (fun m ->
         m "resuming switch %d from %d journal records: %d done, %d pending, \
            %d frozen%s"
@@ -366,14 +254,15 @@ let resume ?params ?period ?sample_period ?poll_period ?cp_timeout ?max_time
           (List.length reconciliation.Recovery.done_vms)
           (List.length reconciliation.Recovery.pending_vms)
           (List.length reconciliation.Recovery.frozen_vms)
-          (if repaired then " (via repair)" else ""));
+          (if r.Switch.repaired then " (via repair)" else ""));
     let result =
       run_custom ?params ?period ?sample_period ?poll_period ?cp_timeout
         ?max_time ?decision ?injector ?policy ?max_repairs ?storage
-        ?execution ?journal ?kill_at ~initial:(target, plan) ~config:observed
-        ~vjobs ~programs ()
+        ?execution ?journal ?kill_at
+        ~initial:(r.Switch.target, r.Switch.plan)
+        ~config:observed ~vjobs ~programs ()
     in
-    Some ({ state; reconciliation; repaired }, result)
+    Some ({ state; reconciliation; repaired = r.Switch.repaired }, result)
 
 let mean_switch_duration result =
   match result.switches with

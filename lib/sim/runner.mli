@@ -1,22 +1,23 @@
 (** End-to-end simulated Entropy runs (the section 5.2 experiment),
     optionally under fault injection with supervised execution and
-    immediate plan repair. *)
+    immediate plan repair. Each decision runs as one cluster-wide
+    context switch through {!Switch}, the journaled switch driver the
+    [entropyd] daemon shares. *)
 
 open Entropy_core
 
-type repair_record = {
-  at : float;           (** simulated time of the repair decision *)
+type repair_record = Switch.repair = {
+  at : float;
   switch : int;
-      (** journal switch id the repair plan executes under (0 when no
-          journal is attached) — lets flight-recorder analyses join a
-          repair back to its journaled switch *)
   source : [ `Salvaged | `Replanned ];
-  before : Configuration.t;  (** mid-switch configuration repaired from *)
-  target : Configuration.t;  (** where the repaired plan ends *)
-  demand : Demand.t;    (** demand the repair was planned against *)
-  queue : Vjob.t list;  (** live vjobs at repair time *)
+  before : Configuration.t;
+  target : Configuration.t;
+  demand : Demand.t;
+  queue : Vjob.t list;
   plan : Plan.t;
 }
+(** A repair plan the switch driver chased a degraded switch with (see
+    {!Switch.repair}). *)
 
 type result = {
   makespan : float;  (** completion time of the last vjob *)
@@ -55,7 +56,11 @@ val run_custom :
   config:Configuration.t -> vjobs:Vjob.t list ->
   programs:(Vm.id -> Vworkload.Program.t) -> unit -> result
 (** Run the control loop over an arbitrary initial configuration (VMs
-    may already be running or sleeping). [execution] selects pool-based
+    may already be running or sleeping). Every [period] the decision
+    module re-decides and its plan runs through {!Switch.run}: an empty
+    plan whose target only drops bookkeeping state (a finished vjob's
+    suspended image) is committed at once, so a vjob that completes
+    while suspended still terminates. [execution] selects pool-based
     (default, the paper's model) or continuous switch execution.
 
     With [injector], actions run supervised under [policy] (default
@@ -68,7 +73,7 @@ val run_custom :
     With [journal], every switch is bracketed by write-ahead records
     ([Switch_begin] before the first action, [Switch_end] after the
     executor reports) and every action state transition is journaled
-    (see {!Executor.execute}). [kill_at] stops the discrete-event engine
+    (see {!Switch} and {!Executor.execute}). [kill_at] stops the discrete-event engine
     at that simulated time — the controller crash: no [Switch_end] is
     written for an in-flight switch and [result.killed] is set when
     vjobs were left incomplete. [initial] executes a given
@@ -113,9 +118,10 @@ val resume :
   vjobs:Vjob.t list -> programs:(Vm.id -> Vworkload.Program.t) -> unit ->
   (resume_info * result) option
 (** Idempotently resume a run from a crashed controller's journal:
-    replay [records], reconcile the last in-flight switch against
-    [observed], execute the derived resume plan (or the repair plan on
-    divergence) and then run the periodic loop to completion. [None]
+    replay [records], derive the resume plan of the last in-flight
+    switch against [observed] ({!Switch.recover}: the reconciled plan,
+    or the repair plan on divergence), execute it and then run the
+    periodic loop to completion. [None]
     when the journal holds no switch — nothing to resume; start a fresh
     run instead. Pass the same [journal] to keep appending: the resumed
     switch takes the next free switch id. The journaled injector seed is

@@ -632,6 +632,45 @@ let test_runner_switch_cost_duration_correlate () =
     (fun s -> check_bool "dear is slow" true (Vsim.Executor.duration s > 60.))
     dear
 
+(* The section 5.2 batch of trace seeds 7264-7271 under the
+   node-budgeted CP decision: vjob 4 completes while its VMs are
+   suspended. Sleeping -> terminated derives no action, so only the
+   switch driver's bookkeeping commit of an empty plan terminates it;
+   without that commit the loop re-decides the same empty plan every
+   period until the horizon. *)
+let test_runner_terminates_suspended_completion () =
+  let traces =
+    List.init 8 (fun i ->
+        Trace.make ~seed:(7264 + i) ~vm_count:9
+          (List.nth Nasgrid.families (i mod 4))
+          Nasgrid.W)
+  in
+  let decision =
+    Decision.consolidation_with ~name:"cp-200-nodes"
+      (fun ~current ~demand ~vjobs ~placed ~target_base ->
+        Optimizer.optimize ~timeout:1e9 ~node_limit:200 ~vjobs ~current
+          ~demand ~placed ~target_base ~fallback:target_base ())
+  in
+  let max_time = 20_000. in
+  let r =
+    Vsim.Runner.run_entropy ~decision ~execution:`Pools ~max_time
+      ~nodes:(testbed_nodes 11) ~traces ()
+  in
+  check_int "every vjob completes" 8 (List.length r.Vsim.Runner.completions);
+  List.iter
+    (fun (vj, _) ->
+      check_bool
+        (Printf.sprintf "vjob %d terminated" (Vjob.id vj))
+        true
+        (Configuration.vjob_terminated r.Vsim.Runner.final_config vj))
+    r.Vsim.Runner.completions;
+  (* one iteration per 30 s period would reach ~650 by the horizon *)
+  check_bool
+    (Printf.sprintf "loop stops well before the horizon (%d iterations)"
+       r.Vsim.Runner.iterations)
+    true
+    (r.Vsim.Runner.iterations < 200)
+
 let test_runner_recovers_from_failures () =
   (* every first attempt of each migration fails; the loop replans and
      the workload still completes *)
@@ -1524,6 +1563,8 @@ let () =
             test_runner_switch_cost_duration_correlate;
           Alcotest.test_case "recovers from failures" `Quick
             test_runner_recovers_from_failures;
+          Alcotest.test_case "terminates a suspended completion" `Quick
+            test_runner_terminates_suspended_completion;
           Alcotest.test_case "failure keeps state" `Quick
             test_executor_failure_keeps_state;
         ] );
